@@ -155,6 +155,45 @@ BENCHMARK(BM_StageSolveWarm)
     ->Args({4, 1})  // bicgstab + ilu0
     ->Args({4, 2});  // bicgstab + jacobi
 
+// Banded LU on the Rosenbrock stage matrix (I - 0.01 J) of the combination
+// grid G(2; l, level - l), whose half-bandwidth is interior_x() = 2^(2+l) - 1.
+// The blocked/unblocked pair pins the crossover that factorize() uses
+// (BandedMatrix::kBlockedMinHalfBandwidth, DESIGN.md §14).  Args: {l, level}.
+void banded_factorize(benchmark::State& state, bool blocked) {
+  const int l = static_cast<int>(state.range(0));
+  const int level = static_cast<int>(state.range(1));
+  auto system = make_system(l, level - l);
+  const grid::Grid2D& g = system.grid();
+  linalg::BandedMatrix stage(system.dimension(), g.interior_x());
+  stage.assign_shifted_csr(system.jacobian(), 1.0, -0.01);
+  for (auto _ : state) {
+    linalg::BandedMatrix work = stage;
+    if (blocked) {
+      work.factorize_blocked();
+    } else {
+      work.factorize_unblocked();
+    }
+    benchmark::DoNotOptimize(work);
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(g.name() + " hb " + std::to_string(g.interior_x()) + " n " +
+                 std::to_string(system.dimension()));
+}
+
+void banded_factorize_args(benchmark::internal::Benchmark* b) {
+  // Level 6 (the solve-l6 grids, n ~ 800): hb 3 .. 255.  Levels 4 and 3
+  // (the service's small jobs, n ~ 200 and ~ 90): hb 3 .. 63 and 3 .. 31.
+  for (const int level : {6, 4, 3}) {
+    for (int l = 0; l <= level; ++l) b->Args({l, level});
+  }
+}
+
+void BM_BandedFactorizeUnblocked(benchmark::State& state) { banded_factorize(state, false); }
+BENCHMARK(BM_BandedFactorizeUnblocked)->Apply(banded_factorize_args);
+
+void BM_BandedFactorizeBlocked(benchmark::State& state) { banded_factorize(state, true); }
+BENCHMARK(BM_BandedFactorizeBlocked)->Apply(banded_factorize_args);
+
 void BM_Ros2Subsolve(benchmark::State& state) {
   const grid::Grid2D g(2, static_cast<int>(state.range(0)), static_cast<int>(state.range(0)));
   transport::SubsolveConfig config;

@@ -1,18 +1,14 @@
 // Perf smoke for the subsolve hot path: times prepare_stage on its three
 // cache paths (rebuild / refresh / hit), runs subsolve per solver kind and
 // level with the metrics registry capturing the assemble/factor/solve
-// decomposition, and compares warm- vs cold-started Krylov iteration
-// counts.  Emits one machine-readable report (see src/obs/report.hpp) so
-// the hot-path numbers in README/DESIGN are regenerable artifacts.
+// decomposition, compares warm- vs cold-started Krylov iteration counts, and
+// times the unblocked against the blocked banded-LU factorisation on the
+// stage matrix of G(2;6,0) (DESIGN.md §14).  Emits one machine-readable
+// report (see src/obs/report.hpp) so the hot-path numbers in README/DESIGN
+// are regenerable artifacts.
 //
 // Usage: perf_smoke [--out=PATH] [--max-level L | --level=L] [--reps N]
 //                   [--label=S] [--timestamp=S]
-//                   [--kernels=scalar|tiled] [--inner-threads=N]
-//
-// --kernels/--inner-threads select the kernel policy for the per-level
-// subsolve sweep (DESIGN.md §14); the dedicated kernel-policy sweep section
-// additionally times scalar vs tiled (and 1 vs N inner threads) on the
-// largest grid so one entry captures the within-grid-parallelism win.
 //
 // The default output path is BENCH_subsolve.json in the working directory;
 // the committed copy at the repo root is this tool's output on the dev
@@ -26,10 +22,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <vector>
 
 #include "bench/bench_trajectory.hpp"
 #include "grid/grid2d.hpp"
+#include "linalg/banded.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "support/stopwatch.hpp"
@@ -74,23 +70,11 @@ int main(int argc, char** argv) {
   std::string timestamp;
   int max_level = 3;
   int reps = 200;
-  linalg::KernelPolicy kernels = linalg::KernelPolicy::Scalar;
-  std::uint32_t inner_threads = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--out=", 6) == 0) out_path = argv[i] + 6;
     if (std::strncmp(argv[i], "--label=", 8) == 0) label = argv[i] + 8;
     if (std::strncmp(argv[i], "--timestamp=", 12) == 0) timestamp = argv[i] + 12;
     if (std::strncmp(argv[i], "--level=", 8) == 0) max_level = std::atoi(argv[i] + 8);
-    if (std::strncmp(argv[i], "--kernels=", 10) == 0 &&
-        !linalg::parse_kernel_policy(argv[i] + 10, kernels)) {
-      std::fprintf(stderr, "perf_smoke: bad --kernels '%s' (want scalar or tiled)\n",
-                   argv[i] + 10);
-      return 2;
-    }
-    if (std::strncmp(argv[i], "--inner-threads=", 16) == 0) {
-      inner_threads = static_cast<std::uint32_t>(std::atoi(argv[i] + 16));
-      if (inner_threads < 1) inner_threads = 1;
-    }
     if (std::strcmp(argv[i], "--max-level") == 0 && i + 1 < argc) max_level = std::atoi(argv[++i]);
     if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) reps = std::atoi(argv[++i]);
   }
@@ -99,8 +83,6 @@ int main(int argc, char** argv) {
   obs::RunReport report("perf_smoke");
   report.config().begin_object();
   report.config().kv("root", 2).kv("max_level", max_level).kv("reps", reps);
-  report.config().kv("kernels", linalg::to_string(kernels));
-  report.config().kv("inner_threads", static_cast<std::int64_t>(inner_threads));
   report.config().end_object();
   report.derived().begin_object();
 
@@ -150,8 +132,6 @@ int main(int argc, char** argv) {
       const grid::Grid2D g(2, l, l);
       transport::SubsolveConfig config;
       config.system.solver = kind;
-      config.system.kernel_policy = kernels;
-      config.system.inner_threads = inner_threads;
       obs::registry().reset();
       const auto r = transport::subsolve(g, config);
       const auto snap = obs::registry().snapshot();
@@ -165,8 +145,6 @@ int main(int argc, char** argv) {
       report.derived().begin_object();
       report.derived().kv("grid", "G(2;" + std::to_string(l) + "," + std::to_string(l) + ")");
       report.derived().kv("solver", to_string(kind));
-      report.derived().kv("kernels", linalg::to_string(kernels));
-      report.derived().kv("inner_threads", static_cast<std::int64_t>(inner_threads));
       report.derived().kv("elapsed_seconds", r.elapsed_seconds);
       report.derived().kv("accepted_steps", r.stats.accepted);
       report.derived().kv("stage_preparations", r.stats.stage_preparations);
@@ -192,57 +170,44 @@ int main(int argc, char** argv) {
   }
   report.derived().end_array();
 
-  // --- kernel-policy sweep: scalar vs tiled, 1 vs N inner threads ---------------
-  // Timed on the largest grid of the sweep (the one that serializes the
-  // combination step), banded LU — the solver whose factorisation dominates.
+  // --- banded-LU factorisation: unblocked vs blocked ---------------------------
+  // Both eliminations on the stage matrix (I - 0.01 J) of G(2;6,0), the
+  // critical grid of a level-6 solve (half-bandwidth 255), best of up to 20
+  // runs each.  The kernel_speedup leaves keep the names of earlier entries
+  // (scalar = unblocked, tiled = blocked) so --compare in
+  // scripts/check_bench.py lines them up across the trajectory.
   {
-    const grid::Grid2D g(2, max_level, max_level);
-    struct Combo {
-      linalg::KernelPolicy policy;
-      std::uint32_t threads;
+    const grid::Grid2D g(2, 6, 0);
+    const auto system = make_system(g, /*cache_stage=*/true);
+    linalg::BandedMatrix stage(system.dimension(), g.interior_x());
+    stage.assign_shifted_csr(system.jacobian(), 1.0, -0.01);
+    const int runs = std::clamp(reps, 1, 20);
+    const auto best_of = [&](bool blocked) {
+      double best = 0.0;
+      for (int i = 0; i < runs; ++i) {
+        linalg::BandedMatrix work = stage;
+        support::Stopwatch clock;
+        if (blocked) {
+          work.factorize_blocked();
+        } else {
+          work.factorize_unblocked();
+        }
+        const double t = clock.elapsed_seconds();
+        best = i == 0 ? t : std::min(best, t);
+      }
+      return best;
     };
-    std::vector<Combo> combos = {{linalg::KernelPolicy::Scalar, 1},
-                                 {linalg::KernelPolicy::Tiled, 1}};
-    if (inner_threads > 1) {
-      combos.push_back({linalg::KernelPolicy::Scalar, inner_threads});
-      combos.push_back({linalg::KernelPolicy::Tiled, inner_threads});
-    }
-    double scalar_1 = 0.0;
-    double best_tiled = 0.0;
-    report.derived().key("kernel_sweep").begin_array();
-    for (const auto& combo : combos) {
-      transport::SubsolveConfig config;
-      config.system.solver = transport::StageSolverKind::BandedLU;
-      config.system.kernel_policy = combo.policy;
-      config.system.inner_threads = combo.threads;
-      obs::registry().reset();
-      const auto r = transport::subsolve(g, config);
-      std::printf("kernel sweep G(2;%d,%d) banded-lu %-6s x%-2u %8.3f ms\n", max_level,
-                  max_level, linalg::to_string(combo.policy), combo.threads,
-                  r.elapsed_seconds * 1e3);
-      if (combo.policy == linalg::KernelPolicy::Scalar && combo.threads == 1) {
-        scalar_1 = r.elapsed_seconds;
-      }
-      if (combo.policy == linalg::KernelPolicy::Tiled) {
-        best_tiled = best_tiled == 0.0 ? r.elapsed_seconds
-                                       : std::min(best_tiled, r.elapsed_seconds);
-      }
-      report.derived().begin_object();
-      report.derived().kv("grid", "G(2;" + std::to_string(max_level) + "," +
-                                      std::to_string(max_level) + ")");
-      report.derived().kv("solver", "banded-lu");
-      report.derived().kv("kernels", linalg::to_string(combo.policy));
-      report.derived().kv("inner_threads", static_cast<std::int64_t>(combo.threads));
-      report.derived().kv("elapsed_seconds", r.elapsed_seconds);
-      report.derived().end_object();
-    }
-    report.derived().end_array();
-    const double tiled_speedup = best_tiled > 0.0 ? scalar_1 / best_tiled : 0.0;
-    std::printf("kernel sweep: tiled speedup %.2fx over scalar\n", tiled_speedup);
+    const double unblocked = best_of(/*blocked=*/false);
+    const double blocked = best_of(/*blocked=*/true);
+    const double speedup = blocked > 0.0 ? unblocked / blocked : 0.0;
+    std::printf("banded LU on %s (hb %zu): unblocked %.3g us  blocked %.3g us (%.2fx)\n",
+                g.name().c_str(), g.interior_x(), unblocked * 1e6, blocked * 1e6, speedup);
     report.derived().key("kernel_speedup").begin_object();
-    report.derived().kv("scalar_seconds", scalar_1);
-    report.derived().kv("tiled_seconds", best_tiled);
-    report.derived().kv("tiled_speedup", tiled_speedup);
+    report.derived().kv("grid", g.name());
+    report.derived().kv("half_bandwidth", static_cast<std::int64_t>(g.interior_x()));
+    report.derived().kv("scalar_seconds", unblocked);
+    report.derived().kv("tiled_seconds", blocked);
+    report.derived().kv("tiled_speedup", speedup);
     report.derived().end_object();
   }
 

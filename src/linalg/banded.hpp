@@ -41,16 +41,26 @@ class BandedMatrix {
   void multiply(const Vec& x, Vec& y) const;
 
   /// In-place LU (Doolittle, no pivoting).  Throws on a (near-)zero pivot.
+  /// Bands at least kBlockedMinHalfBandwidth wide run factorize_blocked(),
+  /// narrower ones factorize_unblocked(); the two give the same bits, so the
+  /// choice only moves the time.
   void factorize();
 
-  /// Policy-aware factorisation.  Scalar is the seed loop; Tiled runs the
-  /// trailing update through the SIMD mul-sub kernels with four target rows
-  /// blocked against each pivot row.  The update of entry (i, j) at
-  /// elimination step k is the same single multiply-subtract in either
-  /// policy (steps stay outermost, elements are disjoint within a step), so
-  /// the factors are bitwise identical.  The substitution sweeps in solve()
-  /// are chain-serial by row and stay scalar under every policy.
-  void factorize(const KernelContext& ctx);
+  /// The seed elimination: one pivot step at a time over the whole trailing
+  /// window.  Cheapest on narrow bands, and the bitwise reference.
+  void factorize_unblocked();
+
+  /// k-panel cache-blocked elimination with the trailing update run through
+  /// the SIMD mul-sub kernels, four target rows against each pivot row.
+  /// Every entry (i, j) still receives its updates in ascending k, each as a
+  /// separate multiply and subtract, so the factors are bitwise identical to
+  /// factorize_unblocked().  Pays off once a band row spans several vectors.
+  void factorize_blocked();
+
+  /// Smallest half-bandwidth that factorize() hands to factorize_blocked();
+  /// set from bench/micro_linalg's BM_BandedFactorize{Blocked,Unblocked}
+  /// (DESIGN.md §14).
+  static const std::size_t kBlockedMinHalfBandwidth;
 
   /// Solves A x = b using the factors; requires factorize() first.
   void solve(const Vec& b, Vec& x) const;

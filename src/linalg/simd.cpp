@@ -11,7 +11,7 @@ namespace {
 // ---------------------------------------------------------------------------
 // Portable fallback: 4-way unrolled plain C++.  Element-wise, so unrolling
 // only reorders independent iterations; -ffp-contract=off (set on mg_linalg)
-// keeps the mul and add/sub as two roundings, matching the scalar kernels.
+// keeps the mul and sub as two roundings, matching the unblocked loop.
 // ---------------------------------------------------------------------------
 
 void mulsub_row_portable(double* __restrict y, const double* __restrict x, double l,
@@ -36,28 +36,6 @@ void mulsub_rows4_portable(double* __restrict y0, double* __restrict y1, double*
     y2[j] -= l2 * xv;
     y3[j] -= l3 * xv;
   }
-}
-
-void triad_p_update_portable(double* __restrict p, const double* __restrict r,
-                             const double* __restrict v, double beta, double omega,
-                             std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) p[i] = r[i] + beta * (p[i] - omega * v[i]);
-}
-
-void triad_x_update_portable(double* __restrict x, const double* __restrict a,
-                             const double* __restrict b, double alpha, double omega,
-                             std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) x[i] += alpha * a[i] + omega * b[i];
-}
-
-void axpy_portable(double* __restrict y, const double* __restrict x, double alpha,
-                   std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
-}
-
-void hadamard_portable(double* __restrict z, const double* __restrict r,
-                       const double* __restrict d, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) z[i] = r[i] * d[i];
 }
 
 #if defined(MG_SIMD_X86)
@@ -106,57 +84,6 @@ __attribute__((target("avx2"))) void mulsub_rows4_avx2(double* __restrict y0, do
   }
 }
 
-__attribute__((target("avx2"))) void triad_p_update_avx2(double* __restrict p,
-                                                         const double* __restrict r,
-                                                         const double* __restrict v, double beta,
-                                                         double omega, std::size_t n) {
-  const __m256d vb = _mm256_set1_pd(beta);
-  const __m256d vo = _mm256_set1_pd(omega);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d t =
-        _mm256_sub_pd(_mm256_loadu_pd(p + i), _mm256_mul_pd(vo, _mm256_loadu_pd(v + i)));
-    _mm256_storeu_pd(p + i, _mm256_add_pd(_mm256_loadu_pd(r + i), _mm256_mul_pd(vb, t)));
-  }
-  for (; i < n; ++i) p[i] = r[i] + beta * (p[i] - omega * v[i]);
-}
-
-__attribute__((target("avx2"))) void triad_x_update_avx2(double* __restrict x,
-                                                         const double* __restrict a,
-                                                         const double* __restrict b, double alpha,
-                                                         double omega, std::size_t n) {
-  const __m256d va = _mm256_set1_pd(alpha);
-  const __m256d vo = _mm256_set1_pd(omega);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d t = _mm256_add_pd(_mm256_mul_pd(va, _mm256_loadu_pd(a + i)),
-                                    _mm256_mul_pd(vo, _mm256_loadu_pd(b + i)));
-    _mm256_storeu_pd(x + i, _mm256_add_pd(_mm256_loadu_pd(x + i), t));
-  }
-  for (; i < n; ++i) x[i] += alpha * a[i] + omega * b[i];
-}
-
-__attribute__((target("avx2"))) void axpy_avx2(double* __restrict y, const double* __restrict x,
-                                               double alpha, std::size_t n) {
-  const __m256d va = _mm256_set1_pd(alpha);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(
-        y + i, _mm256_add_pd(_mm256_loadu_pd(y + i), _mm256_mul_pd(va, _mm256_loadu_pd(x + i))));
-  }
-  for (; i < n; ++i) y[i] += alpha * x[i];
-}
-
-__attribute__((target("avx2"))) void hadamard_avx2(double* __restrict z,
-                                                   const double* __restrict r,
-                                                   const double* __restrict d, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(z + i, _mm256_mul_pd(_mm256_loadu_pd(r + i), _mm256_loadu_pd(d + i)));
-  }
-  for (; i < n; ++i) z[i] = r[i] * d[i];
-}
-
 // ---------------------------------------------------------------------------
 // AVX-512F (8 doubles/op), same two-rounding discipline.
 // ---------------------------------------------------------------------------
@@ -198,60 +125,6 @@ __attribute__((target("avx512f"))) void mulsub_rows4_avx512(
   }
 }
 
-__attribute__((target("avx512f"))) void triad_p_update_avx512(double* __restrict p,
-                                                              const double* __restrict r,
-                                                              const double* __restrict v,
-                                                              double beta, double omega,
-                                                              std::size_t n) {
-  const __m512d vb = _mm512_set1_pd(beta);
-  const __m512d vo = _mm512_set1_pd(omega);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512d t =
-        _mm512_sub_pd(_mm512_loadu_pd(p + i), _mm512_mul_pd(vo, _mm512_loadu_pd(v + i)));
-    _mm512_storeu_pd(p + i, _mm512_add_pd(_mm512_loadu_pd(r + i), _mm512_mul_pd(vb, t)));
-  }
-  for (; i < n; ++i) p[i] = r[i] + beta * (p[i] - omega * v[i]);
-}
-
-__attribute__((target("avx512f"))) void triad_x_update_avx512(double* __restrict x,
-                                                              const double* __restrict a,
-                                                              const double* __restrict b,
-                                                              double alpha, double omega,
-                                                              std::size_t n) {
-  const __m512d va = _mm512_set1_pd(alpha);
-  const __m512d vo = _mm512_set1_pd(omega);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512d t = _mm512_add_pd(_mm512_mul_pd(va, _mm512_loadu_pd(a + i)),
-                                    _mm512_mul_pd(vo, _mm512_loadu_pd(b + i)));
-    _mm512_storeu_pd(x + i, _mm512_add_pd(_mm512_loadu_pd(x + i), t));
-  }
-  for (; i < n; ++i) x[i] += alpha * a[i] + omega * b[i];
-}
-
-__attribute__((target("avx512f"))) void axpy_avx512(double* __restrict y,
-                                                    const double* __restrict x, double alpha,
-                                                    std::size_t n) {
-  const __m512d va = _mm512_set1_pd(alpha);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm512_storeu_pd(
-        y + i, _mm512_add_pd(_mm512_loadu_pd(y + i), _mm512_mul_pd(va, _mm512_loadu_pd(x + i))));
-  }
-  for (; i < n; ++i) y[i] += alpha * x[i];
-}
-
-__attribute__((target("avx512f"))) void hadamard_avx512(double* __restrict z,
-                                                        const double* __restrict r,
-                                                        const double* __restrict d, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm512_storeu_pd(z + i, _mm512_mul_pd(_mm512_loadu_pd(r + i), _mm512_loadu_pd(d + i)));
-  }
-  for (; i < n; ++i) z[i] = r[i] * d[i];
-}
-
 #endif  // MG_SIMD_X86
 
 struct Dispatch {
@@ -260,28 +133,15 @@ struct Dispatch {
   void (*mulsub_rows4)(double* __restrict, double* __restrict, double* __restrict,
                        double* __restrict, const double* __restrict, double, double, double,
                        double, std::size_t);
-  void (*triad_p_update)(double* __restrict, const double* __restrict, const double* __restrict,
-                         double, double, std::size_t);
-  void (*triad_x_update)(double* __restrict, const double* __restrict, const double* __restrict,
-                         double, double, std::size_t);
-  void (*axpy)(double* __restrict, const double* __restrict, double, std::size_t);
-  void (*hadamard)(double* __restrict, const double* __restrict, const double* __restrict,
-                   std::size_t);
 };
 
 const Dispatch& dispatch() {
   static const Dispatch d = [] {
-    Dispatch t{"portable",         mulsub_row_portable,     mulsub_rows4_portable,
-               triad_p_update_portable, triad_x_update_portable, axpy_portable,
-               hadamard_portable};
+    Dispatch t{"portable", mulsub_row_portable, mulsub_rows4_portable};
 #if defined(MG_SIMD_X86)
-    if (__builtin_cpu_supports("avx2")) {
-      t = {"avx2",           mulsub_row_avx2,     mulsub_rows4_avx2, triad_p_update_avx2,
-           triad_x_update_avx2, axpy_avx2,           hadamard_avx2};
-    }
+    if (__builtin_cpu_supports("avx2")) t = {"avx2", mulsub_row_avx2, mulsub_rows4_avx2};
     if (__builtin_cpu_supports("avx512f")) {
-      t = {"avx512",           mulsub_row_avx512,     mulsub_rows4_avx512, triad_p_update_avx512,
-           triad_x_update_avx512, axpy_avx512,           hadamard_avx512};
+      t = {"avx512", mulsub_row_avx512, mulsub_rows4_avx512};
     }
 #endif
     return t;
@@ -301,25 +161,6 @@ void mulsub_rows4(double* __restrict y0, double* __restrict y1, double* __restri
                   double* __restrict y3, const double* __restrict x, double l0, double l1,
                   double l2, double l3, std::size_t n) {
   dispatch().mulsub_rows4(y0, y1, y2, y3, x, l0, l1, l2, l3, n);
-}
-
-void triad_p_update(double* __restrict p, const double* __restrict r, const double* __restrict v,
-                    double beta, double omega, std::size_t n) {
-  dispatch().triad_p_update(p, r, v, beta, omega, n);
-}
-
-void triad_x_update(double* __restrict x, const double* __restrict a, const double* __restrict b,
-                    double alpha, double omega, std::size_t n) {
-  dispatch().triad_x_update(x, a, b, alpha, omega, n);
-}
-
-void axpy(double* __restrict y, const double* __restrict x, double alpha, std::size_t n) {
-  dispatch().axpy(y, x, alpha, n);
-}
-
-void hadamard(double* __restrict z, const double* __restrict r, const double* __restrict d,
-              std::size_t n) {
-  dispatch().hadamard(z, r, d, n);
 }
 
 }  // namespace mg::linalg::simd

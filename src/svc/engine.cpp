@@ -105,8 +105,6 @@ struct SolveEngine::Job {
     program.root = spec_.root;
     program.level = spec_.level;
     program.le_tol = spec_.le_tol;
-    program.kernel.system.kernel_policy = static_cast<linalg::KernelPolicy>(spec_.kernel_policy);
-    program.kernel.system.inner_threads = spec_.inner_threads;
   }
 };
 
@@ -141,11 +139,6 @@ JobTicket SolveEngine::submit(const JobSpec& spec) {
     why = "le_tol must be > 0";
   } else if (!(spec.weight > 0.0)) {
     why = "weight must be > 0";
-  } else if (spec.kernel_policy < 0 ||
-             spec.kernel_policy > static_cast<std::int32_t>(linalg::KernelPolicy::Tiled)) {
-    why = "kernel_policy out of range";
-  } else if (spec.inner_threads < 1 || spec.inner_threads > 1024) {
-    why = "inner_threads out of range [1, 1024]";
   } else if (spec.pipeline_depth > 64) {
     why = "pipeline_depth out of range [0, 64]";
   } else if (!spec.fault_spec.empty()) {
@@ -285,7 +278,6 @@ void SolveEngine::execute_task(Job& job, const TaskRef& task) {
 
   const std::size_t max_attempts = std::max<std::size_t>(1, config_.retry.max_attempts);
   std::optional<mw::ResultItem> result;
-  bool fell_back = false;
 
   for (std::size_t attempt = 0; attempt < max_attempts && !result; ++attempt) {
     if (job.cancel.load(std::memory_order_acquire)) {
@@ -369,7 +361,6 @@ void SolveEngine::execute_task(Job& job, const TaskRef& task) {
     // bits — the tenant degrades to in-process compute, never to a wrong
     // answer or a hang.
     result = mw::execute_work_item(item);
-    fell_back = true;
     job.metrics.counter("job.local_fallbacks").add();
     svc_metrics().remote_fallbacks.add();
     {
@@ -377,7 +368,6 @@ void SolveEngine::execute_task(Job& job, const TaskRef& task) {
       ++counters_.remote_fallbacks;
     }
   }
-  (void)fell_back;
 
   const double task_seconds = task_watch.elapsed_seconds();
   job_task_seconds.observe(task_seconds);

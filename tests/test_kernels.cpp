@@ -1,56 +1,57 @@
-// Determinism proofs for the within-grid parallel execution layer
-// (DESIGN.md §14): the Tiled kernel policy and inner worker teams must be
-// bitwise identical to the seed Scalar path — across solver kinds, odd
-// (n % 4 != 0) tail sizes, and every team size — plus the wire codec for
-// the new SystemOptions fields and a TSAN hammer on the chunk barrier.
+// Determinism proofs for the banded-LU kernel (DESIGN.md §14): the blocked
+// elimination factorize() picks for wide bands must give the bits of the
+// unblocked reference loop — on random bands with ragged panel and quad
+// tails, on the stage matrices of every level-6 combination grid, and on
+// either side of the bandwidth threshold.  Also pins that the retired
+// kernel-policy/inner-team fields and flags are refused, not misread.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cmath>
+#include <algorithm>
+#include <cstdint>
 #include <cstring>
-#include <thread>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "../examples/solver_cli.hpp"
 #include "core/marshal.hpp"
+#include "grid/combination.hpp"
 #include "linalg/banded.hpp"
-#include "linalg/bicgstab.hpp"
-#include "linalg/csr.hpp"
-#include "linalg/kernels.hpp"
-#include "linalg/parallel.hpp"
-#include "linalg/precond.hpp"
-#include "linalg/vector_ops.hpp"
 #include "support/bytes.hpp"
 #include "support/rng.hpp"
 #include "svc/job.hpp"
-#include "transport/subsolve.hpp"
+#include "transport/system.hpp"
 
 namespace {
 
 using namespace mg::linalg;
 using mg::support::Xoshiro256;
 
-// Bitwise equality — EXPECT_EQ on doubles is exact, but spell the intent out
-// and catch -0.0 vs 0.0 too.
 bool bit_equal(const Vec& a, const Vec& b) {
   if (a.size() != b.size()) return false;
   return std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
-CsrMatrix random_dominant_matrix(std::size_t n, double density, Xoshiro256& rng) {
-  CsrBuilder builder(n, n);
-  std::vector<double> row_abs(n, 0.0);
+/// Every in-band entry of two factorised matrices, compared as bits.
+void expect_same_factors(const BandedMatrix& a, const BandedMatrix& b, const std::string& what) {
+  const std::size_t n = a.size(), hb = a.half_bandwidth();
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      if (i != j && rng.uniform01() < density) {
-        const double v = rng.uniform(-1.0, 1.0);
-        builder.add(i, j, v);
-        row_abs[i] += std::abs(v);
-      }
+    for (std::size_t j = (i > hb ? i - hb : 0); j < std::min(n, i + hb + 1); ++j) {
+      const double x = a.at(i, j), y = b.at(i, j);
+      ASSERT_EQ(std::memcmp(&x, &y, sizeof x), 0) << what << " (" << i << "," << j << ")";
     }
   }
-  for (std::size_t i = 0; i < n; ++i) builder.add(i, i, row_abs[i] + 1.0 + rng.uniform01());
-  return builder.build();
+}
+
+BandedMatrix random_dominant_band(std::size_t n, std::size_t hb, Xoshiro256& rng) {
+  BandedMatrix m(n, hb);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = (i > hb ? i - hb : 0); j < std::min(n, i + hb + 1); ++j) {
+      m.set(i, j, i == j ? 2.0 * static_cast<double>(hb) + 1.0 + rng.uniform01()
+                         : rng.uniform(-1.0, 1.0));
+    }
+  }
+  return m;
 }
 
 Vec random_vec(std::size_t n, Xoshiro256& rng) {
@@ -59,317 +60,159 @@ Vec random_vec(std::size_t n, Xoshiro256& rng) {
   return v;
 }
 
-ParallelContext::Options test_team_options() {
-  ParallelOptions opts;
-  opts.min_items_per_worker = 1;  // force real cross-thread dispatch
-  opts.oversubscribe = true;      // even on a 1-core CI box
-  return opts;
+/// Factorises copies of `m` both ways and expects identical factors and
+/// identical solutions of m x = b.
+void expect_blocked_matches_unblocked(const BandedMatrix& m, const Vec& b,
+                                      const std::string& what) {
+  BandedMatrix unblocked = m, blocked = m;
+  unblocked.factorize_unblocked();
+  blocked.factorize_blocked();
+  expect_same_factors(unblocked, blocked, what);
+  Vec x_unblocked, x_blocked;
+  unblocked.solve(b, x_unblocked);
+  blocked.solve(b, x_blocked);
+  EXPECT_TRUE(bit_equal(x_unblocked, x_blocked)) << what;
 }
 
-// ---- policy parsing ---------------------------------------------------------
-
-TEST(KernelPolicy, ParseAndPrint) {
-  KernelPolicy p = KernelPolicy::Tiled;
-  EXPECT_TRUE(parse_kernel_policy("scalar", p));
-  EXPECT_EQ(p, KernelPolicy::Scalar);
-  EXPECT_TRUE(parse_kernel_policy("tiled", p));
-  EXPECT_EQ(p, KernelPolicy::Tiled);
-  EXPECT_FALSE(parse_kernel_policy("simd", p));
-  EXPECT_FALSE(parse_kernel_policy("", p));
-  EXPECT_STREQ(to_string(KernelPolicy::Scalar), "scalar");
-  EXPECT_STREQ(to_string(KernelPolicy::Tiled), "tiled");
-}
-
-// ---- SpMV / multiply_sub ----------------------------------------------------
-
-TEST(TiledKernels, SpmvBitwiseMatchesScalarIncludingOddTails) {
-  Xoshiro256 rng(17);
-  // Odd sizes exercise the 4-row remainder; 16/64 the full blocks.
-  for (const std::size_t n : {1u, 2u, 3u, 5u, 7u, 13u, 16u, 33u, 64u, 127u}) {
-    const CsrMatrix a = random_dominant_matrix(n, 0.3, rng);
-    const Vec x = random_vec(n, rng);
-    const Vec b = random_vec(n, rng);
-
-    Vec y_scalar, y_tiled, s_scalar, s_tiled;
-    a.multiply(x, y_scalar);
-    a.multiply(x, y_tiled, KernelContext{KernelPolicy::Tiled, nullptr});
-    multiply_sub(a, b, x, s_scalar);
-    multiply_sub(a, b, x, s_tiled, KernelContext{KernelPolicy::Tiled, nullptr});
-
-    EXPECT_TRUE(bit_equal(y_scalar, y_tiled)) << "spmv n=" << n;
-    EXPECT_TRUE(bit_equal(s_scalar, s_tiled)) << "multiply_sub n=" << n;
-
-    // Row-partitioned across a real team: same bits at any team size.
-    ParallelContext team(4, test_team_options());
-    Vec y_team, s_team;
-    a.multiply(x, y_team, KernelContext{KernelPolicy::Tiled, &team});
-    multiply_sub(a, b, x, s_team, KernelContext{KernelPolicy::Tiled, &team});
-    EXPECT_TRUE(bit_equal(y_scalar, y_team)) << "teamed spmv n=" << n;
-    EXPECT_TRUE(bit_equal(s_scalar, s_team)) << "teamed multiply_sub n=" << n;
-  }
-}
-
-// ---- fused triads -----------------------------------------------------------
-
-TEST(TiledKernels, FusedTriadsBitwiseMatchScalar) {
-  Xoshiro256 rng(23);
-  for (const std::size_t n : {3u, 4u, 7u, 64u, 1001u}) {
-    const Vec r = random_vec(n, rng), v = random_vec(n, rng);
-    const Vec a = random_vec(n, rng), b = random_vec(n, rng);
-    const double alpha = 0.37, beta = 1.21, omega = -0.83;
-
-    Vec p_s = random_vec(n, rng);
-    Vec p_t = p_s, p_team = p_s;
-    fused_p_update(beta, omega, r, v, p_s, KernelContext{});
-    fused_p_update(beta, omega, r, v, p_t, KernelContext{KernelPolicy::Tiled, nullptr});
-    EXPECT_TRUE(bit_equal(p_s, p_t)) << "p-update n=" << n;
-
-    Vec x_s = random_vec(n, rng);
-    Vec x_t = x_s;
-    fused_x_update(alpha, omega, a, b, x_s, KernelContext{});
-    fused_x_update(alpha, omega, a, b, x_t, KernelContext{KernelPolicy::Tiled, nullptr});
-    EXPECT_TRUE(bit_equal(x_s, x_t)) << "x-update n=" << n;
-
-    ParallelContext team(3, test_team_options());
-    fused_p_update(beta, omega, r, v, p_team, KernelContext{KernelPolicy::Tiled, &team});
-    EXPECT_TRUE(bit_equal(p_s, p_team)) << "teamed p-update n=" << n;
-  }
-}
-
-// ---- banded LU --------------------------------------------------------------
-
+// "Tiled" is the blocked elimination, "scalar" the unblocked reference loop.
 TEST(TiledKernels, BandedFactorizeBitwiseMatchesScalar) {
   Xoshiro256 rng(31);
-  for (const std::size_t n : {3u, 9u, 17u, 40u, 101u}) {
-    for (const std::size_t hb : {1u, 3u, 7u}) {
-      if (hb >= n) continue;
-      BandedMatrix scalar_m(n, hb);
-      BandedMatrix tiled_m(n, hb);
-      for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = (i > hb ? i - hb : 0); j < std::min(n, i + hb + 1); ++j) {
-          const double v = i == j ? 4.0 + rng.uniform01() : rng.uniform(-1.0, 1.0);
-          scalar_m.set(i, j, v);
-          tiled_m.set(i, j, v);
-        }
-      }
-      scalar_m.factorize();
-      tiled_m.factorize(KernelContext{KernelPolicy::Tiled, nullptr});
-      for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = (i > hb ? i - hb : 0); j < std::min(n, i + hb + 1); ++j) {
-          const double a = scalar_m.at(i, j);
-          const double b = tiled_m.at(i, j);
-          EXPECT_EQ(std::memcmp(&a, &b, sizeof a), 0)
-              << "n=" << n << " hb=" << hb << " (" << i << "," << j << ")";
-        }
-      }
+  const std::size_t t = BandedMatrix::kBlockedMinHalfBandwidth;
+  // n straddles the 64-step panel (63/64/65, 127..129) and, past each panel,
+  // every remainder of the four-row trailing quads; hb covers hb >= n, the
+  // narrow bands, and the threshold's neighbourhood.
+  for (const std::size_t n : {1u, 2u, 3u, 5u, 9u, 17u, 40u, 63u, 64u, 65u, 66u, 67u, 68u, 101u,
+                              127u, 128u, 129u, 130u, 131u, 200u}) {
+    for (const std::size_t hb : {std::size_t{0}, std::size_t{1}, std::size_t{3}, std::size_t{7},
+                                 t - 1, t, t + 1, std::size_t{63}, std::size_t{64},
+                                 std::size_t{70}}) {
+      expect_blocked_matches_unblocked(random_dominant_band(n, hb, rng), random_vec(n, rng),
+                                       "n=" + std::to_string(n) + " hb=" + std::to_string(hb));
     }
   }
 }
 
-// ---- preconditioners --------------------------------------------------------
-
-TEST(TiledKernels, PreconditionerApplyBitwiseMatchesScalar) {
-  Xoshiro256 rng(47);
-  for (const std::size_t n : {5u, 27u, 140u}) {
-    const CsrMatrix a = random_dominant_matrix(n, 0.25, rng);
-    const Vec r = random_vec(n, rng);
-    ParallelContext team(4, test_team_options());
-
-    const JacobiPreconditioner jacobi(a);
-    Vec z_ref, z_tiled, z_team;
-    jacobi.apply(r, z_ref);
-    jacobi.apply(r, z_tiled, KernelContext{KernelPolicy::Tiled, nullptr});
-    jacobi.apply(r, z_team, KernelContext{KernelPolicy::Tiled, &team});
-    EXPECT_TRUE(bit_equal(z_ref, z_tiled)) << "jacobi n=" << n;
-    EXPECT_TRUE(bit_equal(z_ref, z_team)) << "teamed jacobi n=" << n;
-
-    const Ilu0Preconditioner ilu(a);
-    EXPECT_GE(ilu.lower_levels(), 1u);
-    EXPECT_GE(ilu.upper_levels(), 1u);
-    ilu.apply(r, z_ref);
-    ilu.apply(r, z_tiled, KernelContext{KernelPolicy::Tiled, nullptr});
-    ilu.apply(r, z_team, KernelContext{KernelPolicy::Tiled, &team});
-    EXPECT_TRUE(bit_equal(z_ref, z_tiled)) << "wavefront ilu0 n=" << n;
-    EXPECT_TRUE(bit_equal(z_ref, z_team)) << "teamed wavefront ilu0 n=" << n;
-  }
-}
-
-// ---- BiCGSTAB across team sizes ---------------------------------------------
-
-TEST(TiledKernels, ParallelBicgstabBitIdenticalAtTeamSizes124) {
-  Xoshiro256 rng(59);
-  const std::size_t n = 211;  // prime: every chunking has ragged tails
-  const CsrMatrix a = random_dominant_matrix(n, 0.15, rng);
-  const Vec b = random_vec(n, rng);
-  const Ilu0Preconditioner precond(a);
-
-  Vec x_ref(n, 0.0);
-  const SolveReport ref = bicgstab(a, b, x_ref, precond);
-  ASSERT_TRUE(ref.converged);
-
-  for (const std::size_t team_size : {1u, 2u, 4u}) {
-    ParallelContext team(team_size, test_team_options());
-    Vec x(n, 0.0);
-    const SolveReport report =
-        bicgstab(a, b, x, precond, SolveOptions{}, nullptr,
-                 KernelContext{KernelPolicy::Tiled, &team});
-    EXPECT_TRUE(report.converged);
-    EXPECT_EQ(report.iterations, ref.iterations) << "team=" << team_size;
-    EXPECT_TRUE(bit_equal(x_ref, x)) << "team=" << team_size;
-  }
-}
-
-// ---- end-to-end: subsolve across all three solver kinds ---------------------
-
-TEST(TiledKernels, SubsolveBitwiseIdenticalAcrossPoliciesAndTeams) {
-  using mg::transport::StageSolverKind;
-  const mg::grid::Grid2D g(2, 3, 3);  // 15x15 interior: odd, real tails
-  for (const auto kind : {StageSolverKind::BandedLU, StageSolverKind::BiCgStabIlu0,
-                          StageSolverKind::BiCgStabJacobi}) {
-    mg::transport::SubsolveConfig scalar_cfg;
-    scalar_cfg.system.solver = kind;
-    const auto ref = mg::transport::subsolve(g, scalar_cfg);
-
-    for (const std::uint32_t inner : {1u, 2u, 4u}) {
-      mg::transport::SubsolveConfig cfg;
-      cfg.system.solver = kind;
-      cfg.system.kernel_policy = KernelPolicy::Tiled;
-      cfg.system.inner_threads = inner;
-      const auto got = mg::transport::subsolve(g, cfg);
-      ASSERT_EQ(ref.solution.data().size(), got.solution.data().size());
-      EXPECT_EQ(std::memcmp(ref.solution.data().data(), got.solution.data().data(),
-                            ref.solution.data().size() * sizeof(double)),
-                0)
-          << to_string(kind) << " inner=" << inner;
-      EXPECT_EQ(ref.stats.accepted, got.stats.accepted);
-      EXPECT_EQ(ref.stats.rejected, got.stats.rejected);
+TEST(BlockedLu, AgreesBitwiseWithUnblockedOnEveryLevel6Grid) {
+  // I - gamma*h*J as the cached banded stage solver builds it, for each
+  // grid of the level-6 combination (half-bandwidths 3 .. 255) and two step
+  // sizes the controller takes.
+  Xoshiro256 rng(7);
+  for (const auto& term : mg::grid::combination_terms(2, 6)) {
+    const mg::transport::TransportSystem system(term.grid, mg::transport::TransportProblem{});
+    const std::size_t n = system.dimension();
+    for (const double gamma_h : {1e-3, 2.5e-2}) {
+      BandedMatrix stage(n, term.grid.interior_x());
+      stage.assign_shifted_csr(system.jacobian(), 1.0, -gamma_h);
+      expect_blocked_matches_unblocked(stage, random_vec(n, rng),
+                                       term.grid.name() + " gamma_h=" + std::to_string(gamma_h));
     }
   }
 }
 
-// ---- marshal round-trip of the new SystemOptions fields ---------------------
+TEST(BlockedLu, FactorizeGivesTheReferenceBitsOnEitherSideOfTheThreshold) {
+  Xoshiro256 rng(43);
+  const std::size_t t = BandedMatrix::kBlockedMinHalfBandwidth;
+  ASSERT_GT(t, 1u);
+  for (const std::size_t hb : {t - 1, t, 2 * t + 1}) {
+    for (const std::size_t n : {hb / 2 + 1, 3 * hb + 2, std::size_t{300}}) {
+      const BandedMatrix m = random_dominant_band(n, hb, rng);
+      BandedMatrix picked = m, reference = m;
+      picked.factorize();
+      reference.factorize_unblocked();
+      EXPECT_TRUE(picked.factorized());
+      expect_same_factors(reference, picked,
+                          "n=" + std::to_string(n) + " hb=" + std::to_string(hb));
+    }
+  }
+}
 
-TEST(KernelMarshal, WorkItemRoundTripsKernelPolicyAndInnerThreads) {
+TEST(BlockedLu, BothEliminationsRejectAZeroPivot) {
+  for (const std::size_t hb : {std::size_t{2}, BandedMatrix::kBlockedMinHalfBandwidth}) {
+    BandedMatrix m(2 * hb + 3, hb);
+    for (std::size_t i = 0; i < m.size(); ++i) m.set(i, i, i == hb + 1 ? 0.0 : 1.0);
+    BandedMatrix unblocked = m, blocked = m;
+    EXPECT_THROW(unblocked.factorize_unblocked(), std::runtime_error) << "hb=" << hb;
+    EXPECT_THROW(blocked.factorize_blocked(), std::runtime_error) << "hb=" << hb;
+  }
+}
+
+// ---- the retired kernel-policy / inner-team fields -----------------------------------
+
+/// Inserts the two i32 fields (kernel policy, inner-thread count) that work
+/// units and job specs used to carry at byte offset `at`.
+std::vector<std::uint8_t> with_retired_kernel_fields(std::vector<std::uint8_t> bytes,
+                                                      std::size_t at, std::int32_t policy,
+                                                      std::int32_t inner) {
+  mg::support::ByteWriter w;
+  w.write_i32(policy);
+  w.write_i32(inner);
+  const auto extra = w.take();
+  bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(at), extra.begin(), extra.end());
+  return bytes;
+}
+
+TEST(KernelMarshal, WorkItemInThePreviousLayoutIsADecodeError) {
   mg::mw::WorkItem item{};
   item.index = 7;
   item.root = 2;
   item.lx = 3;
   item.ly = 4;
-  item.config.system.kernel_policy = KernelPolicy::Tiled;
-  item.config.system.inner_threads = 6;
   const auto bytes = mg::mw::encode_work_item(item);
-  const mg::mw::WorkItem back = mg::mw::decode_work_item(bytes);
-  EXPECT_EQ(back.config.system.kernel_policy, KernelPolicy::Tiled);
-  EXPECT_EQ(back.config.system.inner_threads, 6u);
-
-  // A corrupt inner-thread count must be rejected, not half-trusted.
-  mg::mw::WorkItem bad = item;
-  bad.config.system.inner_threads = 0;
-  EXPECT_THROW(mg::mw::decode_work_item(mg::mw::encode_work_item(bad)),
-               mg::support::DecodeError);
+  // The fields sat after warm_start: index(8) + root/lx/ly(12) + seven
+  // problem f64s(56) + scheme/solver(8) + two tolerances(16) + max_iter(8)
+  // + cache_stage/warm_start(8).
+  const std::size_t at = 8 + 12 + 56 + 8 + 16 + 8 + 8;
+  ASSERT_LT(at, bytes.size());
+  for (const std::int32_t policy : {0, 1}) {
+    for (const std::int32_t inner : {1, 4}) {
+      EXPECT_THROW(
+          mg::mw::decode_work_item(with_retired_kernel_fields(bytes, at, policy, inner)),
+          mg::support::DecodeError)
+          << "policy=" << policy << " inner=" << inner;
+    }
+  }
 }
 
-TEST(KernelMarshal, JobSpecRoundTripsKernelFields) {
+TEST(KernelMarshal, JobSpecInThePreviousLayoutIsADecodeError) {
   mg::svc::JobSpec spec;
   spec.root = 2;
   spec.level = 4;
-  spec.kernel_policy = static_cast<std::int32_t>(KernelPolicy::Tiled);
-  spec.inner_threads = 8;
-  const mg::svc::JobSpec back = mg::svc::decode_job_spec(mg::svc::encode_job_spec(spec));
-  EXPECT_EQ(back.kernel_policy, spec.kernel_policy);
-  EXPECT_EQ(back.inner_threads, spec.inner_threads);
-
-  mg::svc::JobSpec bad = spec;
-  bad.kernel_policy = 9;
-  EXPECT_THROW(mg::svc::decode_job_spec(mg::svc::encode_job_spec(bad)),
-               mg::support::DecodeError);
+  spec.tag = "old-client";
+  spec.pipeline_depth = 3;
+  const auto bytes = mg::svc::encode_job_spec(spec);
+  // The fields sat between the tag and the trailing i32 pipeline_depth.  A
+  // reader that took the policy for pipeline_depth would accept 0 or 1.
+  ASSERT_GE(bytes.size(), 4u);
+  for (const std::int32_t policy : {0, 1}) {
+    EXPECT_THROW(mg::svc::decode_job_spec(
+                     with_retired_kernel_fields(bytes, bytes.size() - 4, policy, 1)),
+                 mg::support::DecodeError)
+        << "policy=" << policy;
+  }
 }
 
-// ---- CLI flags --------------------------------------------------------------
-
-TEST(KernelCli, ParsesKernelFlags) {
-  const char* argv[] = {"solver", "2", "4", "1e-3", "--kernels=tiled", "--inner-threads=4"};
-  const auto cli = mg::examples::parse_solver_cli(6, argv);
-  ASSERT_TRUE(cli.ok) << cli.error;
-  EXPECT_EQ(cli.kernel_policy, KernelPolicy::Tiled);
-  EXPECT_EQ(cli.inner_threads, 4u);
+TEST(KernelMarshal, TrailingBytesAfterAResultItemAreADecodeError) {
+  mg::mw::ResultItem item{};
+  item.index = 3;
+  item.node_data = {1.0, 2.0};
+  auto bytes = mg::mw::encode_result_item(item);
+  bytes.push_back(0);
+  EXPECT_THROW(mg::mw::decode_result_item(bytes), mg::support::DecodeError);
 }
 
 TEST(KernelCli, RejectsBadKernelFlags) {
-  {
-    const char* argv[] = {"solver", "--kernels=fast"};
-    EXPECT_FALSE(mg::examples::parse_solver_cli(2, argv).ok);
+  // The kernel-policy and inner-team flags are gone: they must be refused as
+  // unknown, in master and worker mode alike, never silently ignored.
+  for (const char* flag : {"--kernels=tiled", "--kernels=scalar", "--inner-threads=1",
+                           "--inner-threads=4"}) {
+    const char* argv[] = {"solver", "2", "4", "1e-3", flag};
+    const auto cli = mg::examples::parse_solver_cli(5, argv);
+    EXPECT_FALSE(cli.ok) << flag;
+    EXPECT_NE(cli.error.find("unknown flag"), std::string::npos) << cli.error;
+
+    const char* worker_argv[] = {"solver", "--connect=127.0.0.1:9000", flag};
+    EXPECT_FALSE(mg::examples::parse_solver_cli(3, worker_argv).ok) << flag;
   }
-  {
-    const char* argv[] = {"solver", "--inner-threads=0"};
-    EXPECT_FALSE(mg::examples::parse_solver_cli(2, argv).ok);
-  }
-  {
-    // Kernel config travels with the work unit; worker-side flags are dead.
-    const char* argv[] = {"solver", "--connect=127.0.0.1:9000", "--kernels=tiled"};
-    EXPECT_FALSE(mg::examples::parse_solver_cli(3, argv).ok);
-  }
-}
-
-// ---- chunk barrier under TSAN -----------------------------------------------
-
-// TSAN: hammers the chunk-deterministic barrier from the leader while every
-// helper writes disjoint slots and reduce partials — run under
-// -fsanitize=thread in CI to prove the generation/condvar protocol is
-// race-free.
-TEST(ChunkBarrier, HammerParallelForAndReduce) {
-  ParallelContext team(4, test_team_options());
-  ASSERT_GE(team.team_size(), 1u);
-
-  std::vector<double> slots(997, 0.0);  // prime size: ragged chunks
-  for (int round = 0; round < 200; ++round) {
-    const double mark = static_cast<double>(round + 1);
-    team.parallel_for(slots.size(), [&](std::size_t b, std::size_t e) {
-      for (std::size_t i = b; i < e; ++i) slots[i] = mark + static_cast<double>(i);
-    });
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-      ASSERT_EQ(slots[i], mark + static_cast<double>(i));
-    }
-
-    const double sum = team.reduce(slots.size(), [&](std::size_t b, std::size_t e) {
-      double s = 0.0;
-      for (std::size_t i = b; i < e; ++i) s += slots[i];
-      return s;
-    });
-    EXPECT_GT(sum, 0.0);
-  }
-}
-
-TEST(ChunkBarrier, ReduceIsTeamSizeInvariant) {
-  std::vector<double> data(1013);
-  Xoshiro256 rng(71);
-  for (auto& x : data) x = rng.uniform(-1.0, 1.0);
-
-  auto reduce_with = [&](std::size_t team_size) {
-    ParallelContext team(team_size, test_team_options());
-    return team.reduce(data.size(), [&](std::size_t b, std::size_t e) {
-      double s = 0.0;
-      for (std::size_t i = b; i < e; ++i) s += data[i];
-      return s;
-    });
-  };
-  const double one = reduce_with(1);
-  const double two = reduce_with(2);
-  const double four = reduce_with(4);
-  EXPECT_EQ(std::memcmp(&one, &two, sizeof one), 0);
-  EXPECT_EQ(std::memcmp(&one, &four, sizeof one), 0);
-}
-
-TEST(ChunkBarrier, NonLeaderCallsRunInline) {
-  ParallelContext team(4, test_team_options());
-  std::vector<double> slots(64, 0.0);
-  std::thread outsider([&] {
-    team.parallel_for(slots.size(), [&](std::size_t b, std::size_t e) {
-      for (std::size_t i = b; i < e; ++i) slots[i] = 1.0;
-    });
-  });
-  outsider.join();
-  for (const double v : slots) EXPECT_EQ(v, 1.0);
 }
 
 }  // namespace

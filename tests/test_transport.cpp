@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <map>
 
 #include "support/check.hpp"
@@ -229,9 +230,14 @@ TEST(Subsolve, PayloadBytesScaleWithNodes) {
 
 struct SchemeOrder {
   AdvectionScheme scheme;
+  // Fills what would be padding. gtest names each case by a byte dump of this
+  // struct, so uninitialised padding gave the cases a different name per run.
+  std::int32_t zero = 0;
   double min_order;  ///< observed order between levels 2 and 3, lower bound
   double max_order;
 };
+static_assert(sizeof(SchemeOrder) ==
+              sizeof(AdvectionScheme) + sizeof(std::int32_t) + 2 * sizeof(double));
 
 class SchemeConvergence : public ::testing::TestWithParam<SchemeOrder> {};
 
@@ -251,9 +257,10 @@ TEST_P(SchemeConvergence, ObservedOrderIsInTheExpectedBand) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllSchemes, SchemeConvergence,
-    ::testing::Values(SchemeOrder{AdvectionScheme::Upwind1, 0.4, 1.3},
-                      SchemeOrder{AdvectionScheme::Central2, 1.6, 2.4},
-                      SchemeOrder{AdvectionScheme::ThirdOrderKoren, 2.1, 3.2}));
+    ::testing::Values(
+        SchemeOrder{.scheme = AdvectionScheme::Upwind1, .min_order = 0.4, .max_order = 1.3},
+        SchemeOrder{.scheme = AdvectionScheme::Central2, .min_order = 1.6, .max_order = 2.4},
+        SchemeOrder{.scheme = AdvectionScheme::ThirdOrderKoren, .min_order = 2.1, .max_order = 3.2}));
 
 TEST(SchemeConvergenceOrdering, AccuracyRanksAsExpected) {
   SubsolveConfig config;
